@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck fuzz-smoke test race bench bench-engine bench-json bench-1m loadgen-smoke chaos-smoke telemetry-smoke examples ci
+.PHONY: all build vet staticcheck fuzz-smoke test race bench bench-engine bench-test bench-smoke bench-1m loadgen-smoke chaos-smoke telemetry-smoke examples ci
 
 all: build vet test
 
@@ -56,30 +56,24 @@ bench-engine:
 	$(GO) test -run xxx -bench FlowTable -benchtime 1000x ./internal/flowtable
 	$(GO) test -run xxx -bench 'ChurnNext|WireNext|HarnessSteady' -benchtime 100000x ./internal/loadgen
 
-# Engine benchmark trajectory, recorded: the same suite with enough
-# repetitions for benchstat, written to BENCH_engine.json in the standard
-# Go benchmark text format (what benchstat consumes — compare two commits
-# with `benchstat old.json new.json`). Redirect, don't tee: a failing
-# benchmark must fail the target, not vanish behind the pipe's status. The
-# flow-table micro-benchmarks append with an iteration-count benchtime of
-# their own (2 iterations would be noise at nanosecond scale).
-bench-json:
-	$(GO) test -run xxx -bench 'EngineShards|EngineRecorder|SessionFeed|ParallelFeed|Sweep|EngineHighLoad|WheelAdvance|EngineChurn' \
-		-benchtime 2x -count 3 . > BENCH_engine.json
-	$(GO) test -run xxx -bench FlowTable -benchtime 50000x -count 3 \
-		./internal/flowtable >> BENCH_engine.json
-	$(GO) test -run xxx -bench 'ChurnNext|WireNext|HarnessSteady' -benchtime 200000x -count 3 \
-		./internal/loadgen >> BENCH_engine.json
-	@cat BENCH_engine.json
+# The repository's benchmark (bench/, described by BENCHMARK.json) is a
+# module of its own that `go build ./...` never sees, so an engine API change
+# can break it unnoticed. bench-test vets it and runs its unit tests;
+# bench-smoke builds it the way the benchmark driver does and runs one short
+# workload end to end — run.sh exits non-zero on `correct:false`.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Million-flow scale run, appended to the benchmark trajectory: a 1.2M-flow
-# churning population over a 2^21-slot cuckoo deployment (8 shards), driven
-# through steady / collision-storm / block-storm phases. Slow (~30s) and
-# memory-hungry, so not part of bench-json; run it when the numbers matter.
+bench-smoke:
+	bash bench/run.sh --workload resident-short --seed 1 --seconds 3 --trace 0
+
+# Million-flow scale run: a 1.2M-flow churning population over a 2^21-slot
+# cuckoo deployment (8 shards), driven through steady / collision-storm /
+# block-storm phases; prints one benchstat-format line per phase. Slow (~30s)
+# and memory-hungry; run it when the numbers matter.
 bench-1m:
 	SPLIDT_LOADGEN_1M=1 $(GO) test -run MillionFlowValidation -timeout 30m -v \
-		./internal/loadgen | grep '^Benchmark' >> BENCH_engine.json
-	@tail -4 BENCH_engine.json
+		./internal/loadgen | grep '^Benchmark'
 
 # Load-harness smoke: a 100K-flow churning population through all phase
 # types — steady, collision storm, block storm — under the race detector,
@@ -111,4 +105,4 @@ telemetry-smoke:
 examples:
 	$(GO) build ./examples/...
 
-ci: build vet staticcheck race loadgen-smoke chaos-smoke telemetry-smoke bench-engine examples
+ci: build vet staticcheck race loadgen-smoke chaos-smoke telemetry-smoke bench-engine bench-test bench-smoke examples

@@ -2,7 +2,9 @@ package analysis
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -61,6 +63,17 @@ func concat(lists ...[]string) []string {
 // shared by the dataplane probes.
 func deployPipeline(t *testing.T, scheme dataplane.TableScheme, expiry dataplane.ExpiryScheme) (*dataplane.Pipeline, []trace.LabeledFlow) {
 	t.Helper()
+	cfg, flows := deployConfig(t, scheme, expiry)
+	pl, err := splidt.Deploy(cfg)
+	if err != nil {
+		t.Fatalf("Deploy: %v", err)
+	}
+	return pl, flows
+}
+
+// deployConfig trains and compiles the probes' deployment.
+func deployConfig(t *testing.T, scheme dataplane.TableScheme, expiry dataplane.ExpiryScheme) (dataplane.Config, []trace.LabeledFlow) {
+	t.Helper()
 	flows := splidt.Generate(splidt.D2, 300, 1)
 	samples := splidt.BuildSamples(flows, 2)
 	model, err := splidt.Train(samples, splidt.Config{
@@ -75,7 +88,7 @@ func deployPipeline(t *testing.T, scheme dataplane.TableScheme, expiry dataplane
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	pl, err := splidt.Deploy(splidt.DeployConfig{
+	return dataplane.Config{
 		Profile:     splidt.Tofino1(),
 		Model:       model,
 		Compiled:    compiled,
@@ -85,11 +98,7 @@ func deployPipeline(t *testing.T, scheme dataplane.TableScheme, expiry dataplane
 		IdleTimeout: time.Minute,
 		SweepStripe: 64,
 		Expiry:      expiry,
-	})
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
-	return pl, flows
+	}, flows
 }
 
 // midFlowPacket returns a packet that is never a window end: Seq 1 of a
@@ -257,7 +266,7 @@ func allocProbes() []allocProbe {
 			name: "timerwheel",
 			covers: ids("timerwheel",
 				"Node.Armed", "Node.Relink", "Node.Unlink",
-				"Wheel.Advance", "Wheel.Schedule", "Wheel.cascade", "Wheel.fire",
+				"Wheel.Advance", "Wheel.CascadesInto", "Wheel.Schedule", "Wheel.cascade", "Wheel.fire",
 				"Wheel.place", "Wheel.slot"),
 			setup: func(t *testing.T) func() {
 				type item struct {
@@ -296,6 +305,10 @@ func allocProbes() []allocProbe {
 					// and fires everything so the next run starts unarmed.
 					now += 3 * time.Second
 					w.Advance(now)
+					var cascades [timerwheel.DefaultLevels - 1]int
+					if w.CascadesInto(cascades[:]) != len(cascades) || cascades[0] == 0 {
+						t.Fatal("level-1 cascades not counted")
+					}
 				}
 			},
 		},
@@ -307,14 +320,15 @@ func allocProbes() []allocProbe {
 					"Entry.Timer", "Entry.free"),
 				// The Store interface annotations are the contract these
 				// probes (and the cuckoo ones) exercise through the interface.
-				ids("flowtable", "Store.Acquire", "Store.Release", "Store.Evict", "Store.Sweep"),
+				ids("flowtable", "Store.Acquire", "Store.Release", "Store.Evict", "Store.Sweep", "Store.Stats"),
+				ids("flowtable", "Direct.Stats"),
 			),
 			setup: func(t *testing.T) func() { return storeProbe(t, flowtable.NewDirect(256)) },
 		},
 		{
 			name: "flowtable-cuckoo",
 			covers: ids("flowtable",
-				"Cuckoo.Acquire", "Cuckoo.Release", "Cuckoo.Evict", "Cuckoo.Sweep",
+				"Cuckoo.Acquire", "Cuckoo.Release", "Cuckoo.Evict", "Cuckoo.Sweep", "Cuckoo.Stats",
 				"Cuckoo.altBucket", "Cuckoo.bucketPair", "Cuckoo.freeWay", "Cuckoo.inStash",
 				"Cuckoo.insert", "Cuckoo.lookup", "Cuckoo.searchAndKick"),
 			setup: func(t *testing.T) func() {
@@ -323,7 +337,7 @@ func allocProbes() []allocProbe {
 		},
 		{
 			name:   "dataplane-sweep-pipeline",
-			covers: ids("dataplane", "Pipeline.Process", "Pipeline.Sweep", "Pipeline.windowEnd"),
+			covers: ids("dataplane", "Pipeline.Process", "Pipeline.ProcessInto", "Pipeline.Sweep", "Pipeline.windowEnd"),
 			setup: func(t *testing.T) func() {
 				pl, flows := deployPipeline(t, dataplane.TableCuckoo, dataplane.ExpirySweep)
 				mid := midFlowPacket(t, flows)
@@ -336,7 +350,7 @@ func allocProbes() []allocProbe {
 		},
 		{
 			name:   "dataplane-wheel-expiry",
-			covers: ids("dataplane", "Pipeline.expire"),
+			covers: ids("dataplane", "Pipeline.expire", "Pipeline.Stats", "Pipeline.TableStats"),
 			setup: func(t *testing.T) func() {
 				pl, flows := deployPipeline(t, dataplane.TableCuckoo, dataplane.ExpiryWheel)
 				mid := midFlowPacket(t, flows)
@@ -348,6 +362,11 @@ func allocProbes() []allocProbe {
 					pl.Process(mid)
 					now += time.Hour
 					pl.Sweep(now)
+					// The worker's per-burst publish reads: wheel cascade
+					// counters included, without Wheel.Stats' slice.
+					if st := pl.Stats(); st.WheelExpiries == 0 || pl.TableStats().Occupied != 0 {
+						t.Fatalf("expiry not visible in Stats: %+v", st)
+					}
 				}
 			},
 		},
@@ -355,7 +374,7 @@ func allocProbes() []allocProbe {
 			name: "pkt-wire",
 			covers: ids("pkt",
 				"Unmarshal", "TCPFlags.Has",
-				"Packet.WindowOf", "Packet.IsWindowEnd",
+				"Packet.Shard", "Packet.WindowOf", "Packet.IsWindowEnd",
 				"Packet.WindowOfBounds", "Packet.IsWindowEndBounds",
 				"Bounds.Valid", "Bounds.boundary"),
 			setup: func(t *testing.T) func() {
@@ -386,7 +405,7 @@ func allocProbes() []allocProbe {
 					if !q.Flags.Has(pkt.FlagACK) {
 						t.Fatal("flags lost")
 					}
-					sink += q.WindowOf(3) + q.WindowOfBounds(bounds)
+					sink += q.WindowOf(3) + q.WindowOfBounds(bounds) + q.Shard(4)
 					if q.IsWindowEnd(3) || q.IsWindowEndBounds(bounds) {
 						t.Fatal("mid-flow packet is not a window end")
 					}
@@ -464,11 +483,72 @@ func allocProbes() []allocProbe {
 			},
 		},
 		{
-			name: "engine-rings",
+			// The whole steady-state path, through the public API: Feed →
+			// staged burst → MPSC ring → worker loop → ProcessInto → digest
+			// ring → Poll, bursts that emit digests included, with one
+			// verdict outstanding so both drop-filter probes run. AllocsPerRun
+			// counts every goroutine's mallocs, so the worker is measured too.
+			name: "engine-round-trip",
 			covers: ids("engine",
-				"spscRing.tryPush", "spscRing.tryPop", "mpscRing.tryPush", "mpscRing.tryPop",
-				"shardState.pendingDeploy"),
-			setup: func(t *testing.T) func() { return engine.RingAllocProbe() },
+				"Feeder.Feed", "Feeder.stage", "Feeder.flushStaged", "Feeder.tryPush",
+				"shardState.work", "shardState.processBurst", "shardState.publish",
+				"shardState.boundary", "shardState.pendingDeploy", "pubBlock.store", "statsWords",
+				"mpscRing.tryPush", "mpscRing.tryPop", "spscRing.tryPush", "spscRing.tryPop", "spscRing.push",
+				"digestRing.tryPush", "digestRing.drain",
+				"dropFilter.blocked", "dropFilter.size"),
+			runs: 20,
+			setup: func(t *testing.T) func() {
+				cfg, flows := deployConfig(t, dataplane.TableCuckoo, dataplane.ExpiryWheel)
+				eng, err := engine.New(engine.Config{Deploy: cfg, Shards: 2})
+				if err != nil {
+					t.Fatalf("engine.New: %v", err)
+				}
+				sess, err := eng.Start(context.Background(), engine.WithBoundedDigests())
+				if err != nil {
+					t.Fatalf("Start: %v", err)
+				}
+				t.Cleanup(func() { sess.Close() })
+				fd, err := sess.NewFeeder()
+				if err != nil {
+					t.Fatalf("NewFeeder: %v", err)
+				}
+				sess.Block(flow.Key{SrcIP: flow.AddrFrom4(192, 0, 2, 1), DstIP: flow.AddrFrom4(192, 0, 2, 2), SrcPort: 1, DstPort: 2, Proto: flow.ProtoUDP})
+				// Whole flows: each ends, digests once and frees its entry, so
+				// every round trip replays the same work on an empty table.
+				pkts := trace.Interleave(flows[:48], 50*time.Microsecond)
+				buf := make([]dataplane.Digest, 64)
+				roundTrip := func(want int) int {
+					if err := fd.FeedAll(pkts); err != nil {
+						t.Fatalf("FeedAll: %v", err)
+					}
+					got := 0
+					for deadline := time.Now().Add(10 * time.Second); ; {
+						n := sess.Poll(buf)
+						got += n
+						switch {
+						case want >= 0 && got >= want:
+							return got
+						case want < 0 && n == 0 && sess.Snapshot().Stats.Packets >= len(pkts):
+							for n = sess.Poll(buf); n > 0; n = sess.Poll(buf) {
+								got += n
+							}
+							return got
+						case time.Now().After(deadline):
+							t.Fatalf("round trip stalled at %d digests (want %d)", got, want)
+						}
+						runtime.Gosched()
+					}
+				}
+				want := roundTrip(-1) // first trip: learn the digest count, warm the table
+				if want < len(flows[:48]) {
+					t.Fatalf("%d digests for %d complete flows", want, 48)
+				}
+				return func() {
+					if got := roundTrip(want); got != want {
+						t.Fatalf("round trip delivered %d digests, want %d", got, want)
+					}
+				}
+			},
 		},
 	}
 }
@@ -508,6 +588,9 @@ func storeProbe(t *testing.T, s flowtable.Store) func() {
 			e3.SID = 1
 		}
 		s.Sweep(time.Hour, time.Minute, 64)
+		if s.Stats().Occupied != s.Occupied() {
+			t.Fatal("Stats disagrees with Occupied")
+		}
 	}
 }
 

@@ -430,10 +430,31 @@ func NewShards(cfg Config, n int) ([]*Pipeline, error) {
 }
 
 // Process runs one packet through the pipeline. It returns a non-nil Digest
-// when the packet triggered a final classification.
+// when the packet triggered a final classification. It is ProcessInto for
+// callers that want the digest as a value of their own, and allocates only
+// when there is one to return.
 //
 //splidt:hotpath
 func (pl *Pipeline) Process(p pkt.Packet) *Digest {
+	var d Digest
+	if !pl.ProcessInto(p, &d) {
+		return nil
+	}
+	// Copy out inside the branch: returning &d would move d to the heap for
+	// every packet, digest or not.
+	//splidt:allow alloc — one digest per classified flow, the pipeline's output value
+	out := new(Digest)
+	*out = d
+	return out
+}
+
+// ProcessInto runs one packet through the pipeline. When the packet
+// triggered a final classification it fills *d and returns true; otherwise
+// *d is untouched. It never allocates: the engine's shard workers call it
+// with a scratch digest of their own.
+//
+//splidt:hotpath
+func (pl *Pipeline) ProcessInto(p pkt.Packet, d *Digest) bool {
 	pl.stats.Packets++
 	if p.TS > pl.clock {
 		pl.clock = p.TS
@@ -463,7 +484,7 @@ func (pl *Pipeline) Process(p pkt.Packet) *Digest {
 		// flow state — and move on; a later packet retries the insert once
 		// entries free up.
 		pl.stats.Collisions++
-		return nil
+		return false
 	}
 	if e.SID == doneSID {
 		// Parked entry: the early-exited owner holds the registers until its
@@ -488,7 +509,7 @@ func (pl *Pipeline) Process(p pkt.Packet) *Digest {
 				pl.wheel.Schedule(e.Timer(), pl.clock+e.Lifetime)
 			}
 		}
-		return nil
+		return false
 	}
 	// Live entry: every packet that reaches it refreshes its age, direct-
 	// scheme colliders included — they genuinely share the registers (their
@@ -508,7 +529,7 @@ func (pl *Pipeline) Process(p pkt.Packet) *Digest {
 	e.PktCount++
 
 	if !pl.windowEnd(p) {
-		return nil
+		return false
 	}
 
 	// Subtree model prediction: key generators → range marks → model table.
@@ -523,8 +544,7 @@ func (pl *Pipeline) Process(p pkt.Packet) *Digest {
 	}
 
 	if p.Seq >= p.FlowSize || rule.Exit {
-		//splidt:allow alloc — one digest per classified flow, the pipeline's output value
-		d := &Digest{
+		*d = Digest{
 			Key:     ck,
 			Class:   rule.Class,
 			At:      p.TS,
@@ -548,7 +568,7 @@ func (pl *Pipeline) Process(p pkt.Packet) *Digest {
 				pl.wheel.Schedule(e.Timer(), pl.clock+e.Lifetime)
 			}
 		}
-		return d
+		return true
 	}
 
 	// In-band control channel: one resubmitted packet updates the SID and
@@ -565,7 +585,7 @@ func (pl *Pipeline) Process(p pkt.Packet) *Digest {
 		}
 		pl.wheel.Schedule(e.Timer(), pl.clock+e.Lifetime)
 	}
-	return nil
+	return false
 }
 
 // ProcessBytes parses a serialised data packet (pkt.Marshal layout) and
@@ -596,23 +616,25 @@ func (pl *Pipeline) windowEnd(p pkt.Packet) bool {
 
 // Stats returns a copy of the counters, folding in the flow table's
 // placement counters (kicks, stash inserts) so they merge and delta like
-// every other pipeline counter.
+// every other pipeline counter. The engine's workers call it once per burst
+// to publish their live snapshot, so it must not allocate.
+//
+//splidt:hotpath
 func (pl *Pipeline) Stats() Stats {
 	s := pl.stats
 	ts := pl.table.Stats()
 	s.Kicks = ts.Kicks
 	s.StashInserts = ts.StashInserts
 	if pl.wheel != nil {
-		ws := pl.wheel.Stats()
-		for i := 0; i < len(s.WheelCascades) && i < len(ws.Cascades); i++ {
-			s.WheelCascades[i] = ws.Cascades[i]
-		}
+		pl.wheel.CascadesInto(s.WheelCascades[:])
 	}
 	return s
 }
 
 // TableStats returns the flow table's own counters — occupancy and stash
 // gauges included, which have no place in the monotone Stats counters.
+//
+//splidt:hotpath
 func (pl *Pipeline) TableStats() flowtable.Stats { return pl.table.Stats() }
 
 // ActiveFlows returns the number of occupied flow-table entries. The count

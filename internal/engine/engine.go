@@ -15,11 +15,13 @@
 // ring, so the steady-state path allocates nothing and concurrent producers
 // share no lock. Each worker owns one pipeline replica and processes bursts
 // in arrival order, which — with each flow confined to one feeder —
-// preserves per-flow packet order end to end. Digests flow from the workers
-// into an incremental sink stage that merges the per-shard streams while
-// traffic is still moving, so a controller can consume them live
-// (Session.Digests / Session.Poll) and push ActionBlock verdicts back into
-// the dispatch stage's drop filter (Session.Block) mid-run. Blocking also
+// preserves per-flow packet order end to end. Each worker pushes its digests
+// into a bounded SPSC ring of its own, and Session.Poll (or the Digests
+// adapter) drains the rings directly while traffic is still moving, so a
+// controller can consume classifications live and push ActionBlock verdicts
+// back into the dispatch stage's drop filter (Session.Block) mid-run; a
+// worker whose ring is full spills it into the session's backlog rather than
+// wait for a consumer. Blocking also
 // evicts the flow's register slot via a per-shard eviction mailbox, and
 // workers drive the dataplane's flow-table ageing sweep once per burst
 // from a monotone packet-time clock — so long-lived sessions reclaim slots
@@ -40,11 +42,12 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,6 +57,7 @@ import (
 	"splidt/internal/metrics"
 	"splidt/internal/pkt"
 	"splidt/internal/telemetry/flight"
+	"splidt/internal/timerwheel"
 )
 
 // Source yields packets in global arrival order. trace.Stream implements it
@@ -122,8 +126,10 @@ type Config struct {
 	// Queue is the per-shard queue depth in bursts. It bounds feed-side
 	// runahead: a full queue backpressures Feed. Default 8.
 	Queue int
-	// DigestBuffer is the capacity of the live digest channel a session
-	// exposes through Digests(). Default 256.
+	// DigestBuffer is the capacity, in digests, of each shard's digest ring
+	// (rounded up to a power of two): how far a worker can run ahead of the
+	// consumer before it spills into the session's unbounded backlog. It is
+	// also the buffer of the channel Digests() returns. Default 256.
 	DigestBuffer int
 	// ShutdownTimeout bounds every session teardown wait — Close/abort
 	// waiting on workers, a feeder flush pushing into a stuck shard, a
@@ -163,14 +169,91 @@ type Result struct {
 	Dropped int64
 }
 
-// shardPub is a worker's last published observation of its pipeline; the
-// worker stores a fresh one after every burst (and on exit), so stats and
-// active-flow reads are safe — and coherent per shard — while the run is in
-// flight.
-type shardPub struct {
-	stats   dataplane.Stats
-	active  int
-	stashed int // flows currently parked in the flow table's stash
+// The published block's word layout: dataplane.Stats flattened (the scalar
+// counters, then WheelCascades), then the gauges — occupied and stashed
+// table cells, and the worker's packet-time clock.
+const (
+	pubDigests  = 2 // Stats.Digests
+	pubCascades = 9 // first WheelCascades word
+	pubActive   = pubCascades + timerwheel.DefaultLevels - 1
+	pubStashed  = pubActive + 1
+	pubClock    = pubStashed + 1
+	pubWords    = pubClock + 1
+)
+
+// pubBlock is a worker's last published observation of its pipeline: a
+// fixed, sequence-counted block of atomic words the worker rewrites after
+// every burst (and on exit) and Snapshot/ActiveFlows/Health read without
+// touching anything the worker owns. seq is odd while a publish is in
+// flight; a reader retries until it sees the same even seq on both sides of
+// its word loads, so every read is one publish's values — coherent per
+// shard. Every access is atomic (a plain-data seqlock is a data race). seq
+// doubles as the watchdog's liveness signal: it moves with every burst.
+type pubBlock struct {
+	seq atomic.Uint64
+	w   [pubWords]atomic.Int64
+	// last mirrors w for the writer, which stores only the words a burst
+	// changed (usually Packets and one or two more). Writer-private.
+	last [pubWords]int64
+}
+
+// store publishes w. Single writer: the shard worker, or Start before the
+// worker exists.
+//
+//splidt:hotpath
+func (p *pubBlock) store(w *[pubWords]int64) {
+	seq := p.seq.Load()
+	p.seq.Store(seq + 1)
+	for i, v := range w {
+		if v != p.last[i] {
+			p.last[i] = v
+			p.w[i].Store(v)
+		}
+	}
+	p.seq.Store(seq + 2)
+}
+
+// load returns the words of one publish.
+func (p *pubBlock) load() (w [pubWords]int64) {
+	for {
+		if seq := p.seq.Load(); seq&1 == 0 {
+			for i := range w {
+				w[i] = p.w[i].Load()
+			}
+			if p.seq.Load() == seq {
+				return w
+			}
+		}
+		runtime.Gosched() // a publish is in flight; let the writer finish
+	}
+}
+
+// statsWords flattens st into the block's leading words — the publish side.
+//
+//splidt:hotpath
+//splidt:stats-complete dataplane.Stats
+func statsWords(st *dataplane.Stats, w *[pubWords]int64) {
+	w[0], w[1], w[2] = int64(st.Packets), int64(st.ControlPackets), int64(st.Digests)
+	w[3], w[4], w[5] = int64(st.Collisions), int64(st.RecircBytes), int64(st.Evictions)
+	w[6], w[7], w[8] = int64(st.Kicks), int64(st.StashInserts), int64(st.WheelExpiries)
+	for i, c := range st.WheelCascades {
+		w[pubCascades+i] = int64(c)
+	}
+}
+
+// wordsStats is statsWords' inverse — the read side.
+//
+//splidt:stats-complete dataplane.Stats
+func wordsStats(w *[pubWords]int64) dataplane.Stats {
+	st := dataplane.Stats{
+		Packets: int(w[0]), ControlPackets: int(w[1]), Digests: int(w[2]),
+		Collisions: int(w[3]), RecircBytes: int(w[4]), Evictions: int(w[5]),
+		Kicks: int(w[6]), StashInserts: int(w[7]), WheelExpiries: int(w[8]),
+	}
+	for i := range st.WheelCascades {
+		st.WheelCascades[i] = int(w[pubCascades+i])
+	}
+	return st
 }
 
 type shardState struct {
@@ -178,7 +261,13 @@ type shardState struct {
 	in   *mpscRing // filled bursts: feeders (many) → worker (one)
 	done atomic.Bool
 
-	pub atomic.Pointer[shardPub]
+	pub pubBlock
+
+	// out is the session's digest ring for this shard (set by Start) and
+	// digest the scratch ProcessInto fills before it is pushed there.
+	// Worker-private.
+	out    *digestRing
+	digest dataplane.Digest
 
 	// Eviction mailbox: Session.Block/Evict enqueue flow keys here from any
 	// goroutine; the worker — the only goroutine allowed to touch its
@@ -194,13 +283,6 @@ type shardState struct {
 	// timestamp it has processed, fed to the pipeline's ageing Sweep after
 	// each burst. Worker-private.
 	sweepNow time.Duration
-
-	// filterEpoch/filterCheck cache the worker's last per-burst view of the
-	// session's drop filter (epoch and non-emptiness), amortising the
-	// per-packet atomic load to one load per burst on unblocked workloads.
-	// Worker-private; reset by Start for each session's fresh filter.
-	filterEpoch uint64
-	filterCheck bool
 
 	// latHist, when non-nil, is this session's digest-latency histogram for
 	// the shard (WithDigestLatency): the worker records feeder-handoff →
@@ -224,11 +306,6 @@ type shardState struct {
 	// remainder of the burst the panic interrupted plus every packet drained
 	// from the ring afterwards.
 	quarDrops atomic.Int64
-	// progress counts completed bursts — the watchdog's liveness signal.
-	progress atomic.Uint64
-	// lastTS publishes the worker's packet-time clock (sweepNow) at its last
-	// completed burst, for Health.LastProgress.
-	lastTS atomic.Int64
 	// pendingDep is the deployment published by Session.Redeploy and not yet
 	// adopted by this worker; nil otherwise. epoch is the deployment epoch
 	// the shard's replica currently runs.
@@ -335,7 +412,6 @@ func New(cfg Config) (*Engine, error) {
 		if cfg.FlightRecorder >= 0 {
 			s.rec = flight.New(cfg.FlightRecorder)
 		}
-		s.pub.Store(&shardPub{})
 		e.shards[i] = s
 	}
 	return e, nil
@@ -351,7 +427,8 @@ func (e *Engine) Shards() int { return len(e.shards) }
 func (e *Engine) ActiveFlows() int {
 	n := 0
 	for _, s := range e.shards {
-		n += s.pub.Load().active
+		w := s.pub.load()
+		n += int(w[pubActive])
 	}
 	return n
 }
@@ -399,170 +476,170 @@ func (e *Engine) Run(src Source) (*Result, error) {
 		// into a staging chunk.
 		pkts := ss.Pkts[ss.pos:]
 		ss.pos = len(ss.Pkts)
-		if err := s.FeedAll(pkts); err != nil {
-			s.Close()
-			return nil, err
-		}
-		return s.Close()
+		err = s.FeedAll(pkts)
+	} else {
+		err = s.FeedSource(src)
 	}
-	if err := s.FeedSource(src); err != nil {
-		s.Close()
+	res, closeErr := s.Close()
+	if err != nil {
 		return nil, err
 	}
-	return s.Close()
+	return res, closeErr
 }
 
 // work is one shard's consumer loop: pop a burst, apply queued evictions,
-// run the burst through the replica, advance the ageing sweep by one stripe
-// of packet time, stream digests to the sink, hand the burst back to its
-// owning feeder's free ring, publish a fresh stats snapshot. Exits when the
-// feed side has signalled done and the queue is drained.
+// run the burst through the replica (digests go straight into the shard's
+// digest ring), advance the ageing sweep by one stripe of packet time, hand
+// the burst back to its owning feeder's free ring, publish fresh stats.
+// Exits when the feed side has signalled done and the queue is drained —
+// a quarantined shard too, which completes the worker's wg contribution so
+// Close still drains cleanly.
 //
 // filter re-checks close the dispatch race: the feeders already drop
 // blocked flows, but packets queued in the ring before a verdict landed
 // would otherwise slip past — and after Block evicts the flow's slot, such
 // a straggler would re-activate the slot and leak it again. The check is
-// amortised per burst: the worker reloads the filter's epoch once per burst
+// amortised per burst: the worker reads the filter's size once per burst
 // (after applying evictions) and walks packets through the filter only
-// while that view says the filter has entries. The invariant that keeps
-// eviction safe survives the amortisation because evictions are applied
-// only at these same per-burst boundaries: Block installs the filter entry
-// (bumping the epoch) before enqueueing the eviction, so by the time
-// drainEvictions has applied it, the epoch refresh that follows must
-// observe the bump and turn per-packet checks on — every packet processed
-// after an applied eviction still sees the filter, and a blocked flow can
-// never resurrect its register state. A verdict landing mid-burst whose
-// eviction has not yet been applied may let that burst's stragglers through
-// to the pipeline (they are dropped from the next burst on), which only
-// moves a few packets from the dropped count to the processed count —
-// exactly the dispatch race the Block contract already allows.
-// only wall-clock reads are the allow-listed digest-latency stamps below.
+// when it has entries. The invariant that keeps eviction safe survives the
+// amortisation because evictions are applied only at these same per-burst
+// boundaries: Block installs the filter entry before enqueueing the
+// eviction, so by the time drainEvictions has applied it, the size read
+// that follows must observe the entry and turn per-packet checks on — every
+// packet processed after an applied eviction still sees the filter, and a
+// blocked flow can never resurrect its register state. A verdict landing
+// mid-burst whose eviction has not yet been applied may let that burst's
+// stragglers through to the pipeline (they are dropped from the next burst
+// on), which only moves a few packets from the dropped count to the
+// processed count — exactly the dispatch race the Block contract allows.
 //
-//splidt:packettime — ageing sweeps advance on burst packet timestamps; the
+// Ageing sweeps advance on burst packet timestamps; the only wall-clock
+// reads are the allow-listed digest-latency stamp in processBurst and the
+// idle backoff's Sleep.
+//
+//splidt:packettime
+//splidt:hotpath
 func (s *shardState) work(sess *Session, shard int) {
+	//splidt:allow lock — WaitGroup.Done once, at worker exit
 	defer sess.wg.Done()
-	idle := 0
-	for {
+	// live turns false when a burst panics the replica: it is frozen as the
+	// panic left it (possibly mid-mutation) and never touched again, while
+	// the input ring keeps draining to the drop counter, so feeders pushing
+	// at the dead shard never wedge and bursts keep recycling home.
+	live := true
+	for idle := 0; ; {
 		b, ok := s.in.tryPop()
-		if !ok {
-			if s.done.Load() {
-				// done is published after the final push; one more pop
-				// closes the race with a flush that landed in between.
-				if b, ok = s.in.tryPop(); !ok {
-					s.drainEvictions()
-					s.publish()
-					return
-				}
-			} else {
-				// Adopt a pending redeploy while idle: an idle shard must
-				// not hold the epoch handoff hostage to its next packet.
-				if dep := s.pendingDeploy(); dep != nil {
-					s.adopt(dep)
-				}
-				// Apply evictions while idle so a controller block frees
-				// register state even when no traffic is flowing.
-				if s.drainEvictions() > 0 {
+		if !ok && s.done.Load() {
+			// done is published after the final push; one more pop closes
+			// the race with a flush that landed in between.
+			if b, ok = s.in.tryPop(); !ok {
+				if live {
+					s.boundary()
 					s.publish()
 				}
-				// Spin briefly, then sleep: a live session can sit idle for
-				// long stretches and must not burn a core per shard.
-				if idle++; idle > idleSpins {
-					time.Sleep(idleSleep)
-				} else {
-					runtime.Gosched()
-				}
-				continue
+				return
 			}
 		}
+		if !ok {
+			// Idle: an idle shard must not hold a redeploy's epoch handoff
+			// hostage to its next packet, and a controller block must free
+			// register state even when no traffic is flowing.
+			if live && s.boundary() {
+				s.publish()
+			}
+			// Spin briefly, then sleep: a live session can sit idle for
+			// long stretches and must not burn a core per shard.
+			if idle++; idle > idleSpins {
+				time.Sleep(idleSleep)
+			} else {
+				//splidt:allow call — idle spin: nothing queued, yield the P
+				runtime.Gosched()
+			}
+			continue
+		}
 		idle = 0
+		if !live {
+			s.quarDrops.Add(int64(len(b.pkts)))
+			b.pkts = b.pkts[:0]
+			b.home.push(b)
+			continue
+		}
 		if s.hold != nil {
+			//splidt:allow chan — test-only gate that makes backpressure deterministic; nil in production
 			<-s.hold
 		}
-		// Burst boundary: the only place a new deployment may land, so no
-		// packet ever observes a half-swapped tree and the shard's digest
-		// stream switches epochs exactly at a burst edge.
-		if dep := s.pendingDeploy(); dep != nil {
-			s.adopt(dep)
-		}
-		s.drainEvictions()
-		if !s.processBurst(sess, shard, b) {
-			// The burst panicked the replica: the deferred fence recorded
-			// the fault and recycled the burst; freeze the replica and fall
-			// into the quarantine drain until session end.
-			s.quarantine()
-			return
-		}
+		s.boundary()
+		// A panicking burst is contained by processBurst's fence, which has
+		// recorded the fault and recycled the burst by the time it returns.
+		live = s.processBurst(sess, shard, b)
 	}
+}
+
+// boundary is the control work a worker does between bursts (and while
+// idle): adopt a pending deployment — only ever here, so no packet observes
+// a half-swapped tree and the shard's digest stream switches epochs exactly
+// at a burst edge — and apply queued evictions. It reports whether evictions
+// changed the stats (adopt publishes for itself).
+//
+//splidt:hotpath
+func (s *shardState) boundary() bool {
+	if dep := s.pendingDeploy(); dep != nil {
+		//splidt:allow call — redeploy adoption: once per deployment
+		s.adopt(dep)
+	}
+	//splidt:allow call — eviction mailbox: one atomic load while empty, controller-rate otherwise
+	return s.drainEvictions() > 0
 }
 
 // processBurst runs one burst through the replica under the quarantine
 // fence: a panic anywhere in the per-packet path (pipeline, flow table,
-// timer wheel, injected fault) is contained to this shard. On panic the
-// fence records the session's cause error, marks the shard quarantined,
-// counts the burst's unprocessed remainder as quarantine drops, and still
-// recycles the burst home so the owning feeder's pool stays whole. Returns
-// whether the burst completed normally.
+// timer wheel, injected fault) is contained to this shard (see contain).
+// Returns whether the burst completed normally.
+//
+//splidt:hotpath
 func (s *shardState) processBurst(sess *Session, shard int, b *burst) (ok bool) {
 	i := 0
 	if s.rec != nil {
 		s.rec.Record(flight.KindBurstStart, s.sweepNow, int64(len(b.pkts)), int64(s.epoch.Load()))
 	}
+	//splidt:allow funcval,closure — the recover fence: an open-coded defer of a literal, which does not allocate
 	defer func() {
 		if r := recover(); r != nil {
-			dropped := int64(len(b.pkts) - i)
-			var pm []flight.Event
-			if s.rec != nil {
-				// Record the quarantine itself, then freeze the shard's last
-				// moments into the fault report: the postmortem every
-				// ShardPanicError ships instead of losing them with the
-				// goroutine.
-				s.rec.Record(flight.KindQuarantine, s.sweepNow, dropped, 0)
-				pm = s.rec.Snapshot(nil)
-			}
-			sess.recordFault(&ShardPanicError{Shard: shard, Value: r, Stack: debug.Stack(), Postmortem: pm})
-			s.health.Store(int32(ShardQuarantined))
-			s.quarDrops.Add(dropped)
-			b.pkts = b.pkts[:0]
-			b.home.push(b)
-			s.publish()
+			//splidt:allow call — the fence's body runs once, after a panic
+			s.contain(sess, shard, b, len(b.pkts)-i, r)
 		}
 	}()
 	hooks := sess.hooks
-	// Refresh the cached filter view once per burst — after the eviction
-	// drain, so an applied eviction's filter entry is always observed.
+	// One look at the filter per burst — after the eviction drain, so an
+	// applied eviction's filter entry is always observed (see work).
 	filter := &sess.filter
-	if e := filter.ep.Load(); e != s.filterEpoch {
-		s.filterEpoch = e
-		s.filterCheck = filter.size() > 0
-	}
-	if s.filterCheck {
-		for ; i < len(b.pkts); i++ {
-			if filter.blocked(b.pkts[i].Key) {
-				sess.dropped.Add(1)
-				continue
-			}
-			if hooks != nil && hooks.BeforePacket != nil {
-				hooks.BeforePacket(shard, &b.pkts[i])
-			}
-			if d := s.pl.Process(b.pkts[i]); d != nil {
-				if s.latHist != nil {
-					//splidt:allow wallclock — digest latency is a harness metric measured in wall time by design
-					s.latHist.RecordDur(time.Since(b.fedAt))
-				}
-				sess.sinkCh <- *d
-			}
+	check := filter.size() > 0
+	for ; i < len(b.pkts); i++ {
+		if check && filter.blocked(b.pkts[i].Key) {
+			sess.dropped.Add(1)
+			continue
 		}
-	} else {
-		for ; i < len(b.pkts); i++ {
-			if hooks != nil && hooks.BeforePacket != nil {
-				hooks.BeforePacket(shard, &b.pkts[i])
+		if hooks != nil && hooks.BeforePacket != nil {
+			//splidt:allow funcval — fault-injection seam; hooks are nil in production
+			hooks.BeforePacket(shard, &b.pkts[i])
+		}
+		if s.pl.ProcessInto(b.pkts[i], &s.digest) {
+			if s.latHist != nil {
+				//splidt:allow wallclock — digest latency is a harness metric measured in wall time by design
+				s.latHist.RecordDur(time.Since(b.fedAt))
 			}
-			if d := s.pl.Process(b.pkts[i]); d != nil {
-				if s.latHist != nil {
-					//splidt:allow wallclock — digest latency is a harness metric measured in wall time by design
-					s.latHist.RecordDur(time.Since(b.fedAt))
-				}
-				sess.sinkCh <- *d
+			// Out through the shard's ring: one copy, one atomic store. The
+			// worker never waits and never drops — a full ring (nobody is
+			// polling) is spilled into the session's backlog on the spot —
+			// and it rings the Digests pump only while the pump says it is
+			// parked, so a Poll-driven session pays one load for it.
+			if !s.out.tryPush(&s.digest) {
+				//splidt:allow call — the spill: takes mu once per ring's worth of digests nobody drained
+				sess.spill(s.out, &s.digest)
+			}
+			if sess.parked.Load() {
+				//splidt:allow call — the wake send: non-blocking, attempted only while the pump is parked
+				sess.wakePump()
 			}
 		}
 	}
@@ -582,44 +659,33 @@ func (s *shardState) processBurst(sess *Session, shard int, b *burst) (ok bool) 
 	}
 	b.pkts = b.pkts[:0]
 	b.home.push(b)
-	s.lastTS.Store(int64(s.sweepNow))
-	s.progress.Add(1)
 	s.publish()
 	if s.rec != nil {
-		s.rec.Record(flight.KindBurstEnd, s.sweepNow, int64(npkts), int64(s.pub.Load().stats.Digests))
+		s.rec.Record(flight.KindBurstEnd, s.sweepNow, int64(npkts), s.pub.last[pubDigests])
 	}
 	return true
 }
 
-// quarantine is a panicked worker's terminal loop: the replica is frozen
-// (never touched again — the panic may have left it mid-mutation), but the
-// input ring keeps draining to the drop counter so feeders pushing at the
-// dead shard never wedge, and bursts keep recycling home. Exits when the
-// session signals done and the ring is empty, completing the worker's
-// wg contribution so Close still drains cleanly.
-func (s *shardState) quarantine() {
-	idle := 0
-	for {
-		b, ok := s.in.tryPop()
-		if !ok {
-			if s.done.Load() {
-				if b, ok = s.in.tryPop(); !ok {
-					return
-				}
-			} else {
-				if idle++; idle > idleSpins {
-					time.Sleep(idleSleep)
-				} else {
-					runtime.Gosched()
-				}
-				continue
-			}
-		}
-		idle = 0
-		s.quarDrops.Add(int64(len(b.pkts)))
-		b.pkts = b.pkts[:0]
-		b.home.push(b)
+// contain is the quarantine fence's body, run from processBurst's deferred
+// recover: it records the session's cause error with the shard's flight log
+// as postmortem, marks the shard quarantined, counts the burst's unprocessed
+// remainder as quarantine drops, and still recycles the burst home so the
+// owning feeder's pool stays whole.
+func (s *shardState) contain(sess *Session, shard int, b *burst, dropped int, r any) {
+	var pm []flight.Event
+	if s.rec != nil {
+		// Record the quarantine itself, then freeze the shard's last
+		// moments into the fault report: the postmortem every
+		// ShardPanicError ships instead of losing them with the goroutine.
+		s.rec.Record(flight.KindQuarantine, s.sweepNow, int64(dropped), 0)
+		pm = s.rec.Snapshot(nil)
 	}
+	sess.recordFault(&ShardPanicError{Shard: shard, Value: r, Stack: debug.Stack(), Postmortem: pm})
+	s.health.Store(int32(ShardQuarantined))
+	s.quarDrops.Add(int64(dropped))
+	b.pkts = b.pkts[:0]
+	b.home.push(b)
+	s.publish()
 }
 
 // adopt swaps the pending deployment into the shard's replica — the
@@ -652,33 +718,14 @@ const (
 
 // publish refreshes the shard's observable snapshot; all fields are O(1)
 // reads off the pipeline.
-func (s *shardState) publish() {
-	s.pub.Store(&shardPub{
-		stats:   s.pl.Stats(),
-		active:  s.pl.ActiveFlows(),
-		stashed: s.pl.TableStats().Stashed,
-	})
-}
-
-// subStats returns now − prev field-wise (one session's deltas).
 //
-//splidt:stats-complete dataplane.Stats
-func subStats(now, prev dataplane.Stats) dataplane.Stats {
-	d := dataplane.Stats{
-		Packets:        now.Packets - prev.Packets,
-		ControlPackets: now.ControlPackets - prev.ControlPackets,
-		Digests:        now.Digests - prev.Digests,
-		Collisions:     now.Collisions - prev.Collisions,
-		RecircBytes:    now.RecircBytes - prev.RecircBytes,
-		Evictions:      now.Evictions - prev.Evictions,
-		Kicks:          now.Kicks - prev.Kicks,
-		StashInserts:   now.StashInserts - prev.StashInserts,
-		WheelExpiries:  now.WheelExpiries - prev.WheelExpiries,
-	}
-	for i := range d.WheelCascades {
-		d.WheelCascades[i] = now.WheelCascades[i] - prev.WheelCascades[i]
-	}
-	return d
+//splidt:hotpath
+func (s *shardState) publish() {
+	var w [pubWords]int64
+	st, ts := s.pl.Stats(), s.pl.TableStats()
+	statsWords(&st, &w)
+	w[pubActive], w[pubStashed], w[pubClock] = int64(ts.Occupied), int64(ts.Stashed), int64(s.sweepNow)
+	s.pub.store(&w)
 }
 
 // sortDigests fixes a deterministic total order on the merged stream:
@@ -686,36 +733,20 @@ func subStats(now, prev dataplane.Stats) dataplane.Stats {
 // digests can share a timestamp only across shards, so the key breaks the
 // tie; the full tuple makes the order total even under key collisions).
 func sortDigests(ds []dataplane.Digest) {
-	sort.Slice(ds, func(a, b int) bool {
-		x, y := ds[a], ds[b]
-		if x.At != y.At {
-			return x.At < y.At
+	slices.SortFunc(ds, func(x, y dataplane.Digest) int {
+		if c := cmp.Compare(x.At, y.At); c != 0 {
+			return c // nearly every comparison ends here
 		}
-		if x.Key != y.Key {
-			kx, ky := x.Key, y.Key
-			if kx.SrcIP != ky.SrcIP {
-				return kx.SrcIP < ky.SrcIP
-			}
-			if kx.DstIP != ky.DstIP {
-				return kx.DstIP < ky.DstIP
-			}
-			if kx.SrcPort != ky.SrcPort {
-				return kx.SrcPort < ky.SrcPort
-			}
-			if kx.DstPort != ky.DstPort {
-				return kx.DstPort < ky.DstPort
-			}
-			return kx.Proto < ky.Proto
-		}
-		if x.Started != y.Started {
-			return x.Started < y.Started
-		}
-		if x.Class != y.Class {
-			return x.Class < y.Class
-		}
-		if x.Packets != y.Packets {
-			return x.Packets < y.Packets
-		}
-		return x.Epoch < y.Epoch
+		return cmp.Or(
+			cmp.Compare(x.Key.SrcIP, y.Key.SrcIP),
+			cmp.Compare(x.Key.DstIP, y.Key.DstIP),
+			cmp.Compare(x.Key.SrcPort, y.Key.SrcPort),
+			cmp.Compare(x.Key.DstPort, y.Key.DstPort),
+			cmp.Compare(x.Key.Proto, y.Key.Proto),
+			cmp.Compare(x.Started, y.Started),
+			cmp.Compare(x.Class, y.Class),
+			cmp.Compare(x.Packets, y.Packets),
+			cmp.Compare(x.Epoch, y.Epoch),
+		)
 	})
 }

@@ -103,21 +103,45 @@ func newBurstPool(nShards int, cfg Config) []*spscRing {
 // contract as Session.Feed (stop at the first unplaceable packet, return
 // the count with ErrBackpressure, caller retries with pkts[n:]). Packets of
 // blocked flows count as accepted but are dropped before dispatch. The
-// caller keeps ownership of the slice.
+// caller keeps ownership of the slice. Shared counters move once per call,
+// not per packet: Snapshot.Fed is exact when Feed returns.
+//
+//splidt:hotpath
 func (f *Feeder) Feed(pkts []pkt.Packet) (int, error) {
+	//splidt:allow lock — the feeder's private mutex: uncontended when one goroutine drives the feeder, it only orders Feed against Close
 	f.mu.Lock()
+	//splidt:allow lock — see Lock above
 	defer f.mu.Unlock()
 	if f.closed {
 		return 0, ErrFeederClosed
 	}
+	n := f.stage(pkts)
+	f.flushStaged()
+	f.s.fed.Add(int64(n))
+	if n < len(pkts) {
+		f.s.backpressure.Add(1)
+		return n, ErrBackpressure
+	}
+	return n, nil
+}
+
+// stage copies packets into the per-shard staged bursts, pushing each burst
+// as it fills, and returns how many it placed: fewer than len(pkts) means a
+// shard's ring was full or its burst pool empty (backpressure). The drop
+// filter's emptiness is read once per call, not per packet — a verdict that
+// lands mid-call is caught by the worker's per-burst re-check, which is what
+// upholds "a blocked flow never resurrects its slot".
+//
+//splidt:hotpath
+func (f *Feeder) stage(pkts []pkt.Packet) int {
 	s := f.s
 	n := len(s.e.shards)
 	burstCap := s.e.cfg.Burst
+	check := s.filter.size() > 0
 	for i := range pkts {
 		p := &pkts[i]
-		if s.filter.blocked(p.Key) {
+		if check && s.filter.blocked(p.Key) {
 			s.dropped.Add(1)
-			s.fed.Add(1)
 			continue
 		}
 		si := p.Shard(n)
@@ -127,9 +151,7 @@ func (f *Feeder) Feed(pkts []pkt.Packet) (int, error) {
 				cur.fedAt = time.Now()
 			}
 			if !f.tryPush(si, cur) {
-				s.backpressure.Add(1)
-				f.flushStaged()
-				return i, ErrBackpressure
+				return i
 			}
 			f.cur[si] = nil
 			cur = nil
@@ -137,18 +159,15 @@ func (f *Feeder) Feed(pkts []pkt.Packet) (int, error) {
 		if cur == nil {
 			b, ok := f.free[si].tryPop()
 			if !ok {
-				s.backpressure.Add(1)
-				f.flushStaged()
-				return i, ErrBackpressure
+				return i
 			}
 			f.cur[si] = b
 			cur = b
 		}
+		//splidt:allow append — into the burst's preallocated cap (== Burst, checked above): never grows
 		cur.pkts = append(cur.pkts, *p)
-		s.fed.Add(1)
 	}
-	f.flushStaged()
-	return len(pkts), nil
+	return len(pkts)
 }
 
 // flushStaged hands partial bursts to the workers, best-effort, so a
@@ -157,8 +176,11 @@ func (f *Feeder) Feed(pkts []pkt.Packet) (int, error) {
 // included — with the feeder locked; a full ring just leaves that burst
 // staged for the next call or Close. The walk starts at a rotating shard:
 // with a fixed order, a shard whose ring stays full would be retried first
-// on every flush while later shards' staged bursts wait behind it.
-func (f *Feeder) flushStaged() {
+// on every flush while later shards' staged bursts wait behind it. Reports
+// whether anything is still staged.
+//
+//splidt:hotpath
+func (f *Feeder) flushStaged() (staged bool) {
 	n := len(f.cur)
 	start := f.rot
 	f.rot++
@@ -178,15 +200,21 @@ func (f *Feeder) flushStaged() {
 			b.fedAt = now
 			if f.tryPush(i, b) {
 				f.cur[i] = nil
+			} else {
+				staged = true
 			}
 		}
 	}
+	return staged
 }
 
 // tryPush is the feeder's one push point into a shard's input ring, with
 // the session's fault-injection refuse hook applied first (nil in
 // production — one predictable branch).
+//
+//splidt:hotpath
 func (f *Feeder) tryPush(si int, b *burst) bool {
+	//splidt:allow funcval — fault-injection seam; hooks are nil in production
 	if h := f.s.hooks; h != nil && h.PushRefuse != nil && h.PushRefuse(si) {
 		return false
 	}
@@ -235,18 +263,7 @@ func (f *Feeder) FeedAll(pkts []pkt.Packet) error {
 	// so spin until no shard holds a staged non-empty burst.
 	for {
 		f.mu.Lock()
-		if f.closed {
-			f.mu.Unlock()
-			return nil
-		}
-		f.flushStaged()
-		staged := false
-		for _, b := range f.cur {
-			if b != nil && len(b.pkts) > 0 {
-				staged = true
-				break
-			}
-		}
+		staged := !f.closed && f.flushStaged()
 		f.mu.Unlock()
 		if !staged {
 			return nil
@@ -287,34 +304,19 @@ func (f *Feeder) FeedSource(src Source) error {
 // concurrently with Session.Close (whichever wins flushes; the other
 // no-ops).
 func (f *Feeder) Close() {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return
-	}
-	f.closed = true
-	deadline := time.Now().Add(f.s.e.cfg.ShutdownTimeout)
-	for i, b := range f.cur {
-		if b != nil {
-			if f.s.latHists != nil {
-				b.fedAt = time.Now()
-			}
-			f.pushDeadline(i, b, deadline)
-			f.cur[i] = nil
-		}
-	}
-	f.mu.Unlock()
+	f.closeForShutdown(true, time.Now().Add(f.s.e.cfg.ShutdownTimeout))
 	f.s.feederMu.Lock()
 	delete(f.s.feeders, f)
 	f.s.feederMu.Unlock()
 }
 
-// closeForShutdown is Session shutdown's arm of Close: it seals the feeder
-// and either flushes (graceful Close) or discards (context abort) whatever
-// is staged, bounded by the shutdown deadline. Caller must not hold the
-// feeder's lock. The burst still travels through the in ring even when
-// discarded: the shard worker is the home ring's only producer, and it
-// recycles this burst like any other (a zero-length burst just recycles).
+// closeForShutdown is the body of Close and Session shutdown's arm of it: it
+// seals the feeder and either flushes (Close) or discards (context abort)
+// whatever is staged, bounded by the deadline; a no-op once closed. Caller
+// must not hold the feeder's lock. The burst still travels through the in
+// ring even when discarded: the shard worker is the home ring's only
+// producer, and it recycles this burst like any other (a zero-length burst
+// just recycles).
 func (f *Feeder) closeForShutdown(flush bool, deadline time.Time) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

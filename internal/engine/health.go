@@ -116,7 +116,7 @@ func (s *Session) Health() Health {
 	for i, sh := range s.e.shards {
 		h.Shards[i] = ShardHealth{
 			State:        HealthState(sh.health.Load()),
-			LastProgress: time.Duration(sh.lastTS.Load()),
+			LastProgress: time.Duration(sh.pub.w[pubClock].Load()),
 			Backlog:      sh.in.backlog(),
 			Dropped:      sh.quarDrops.Load(),
 			Epoch:        sh.epoch.Load(),
@@ -161,7 +161,7 @@ func (s *Session) watchdog(interval time.Duration) {
 	defer t.Stop()
 	last := make([]uint64, len(s.e.shards))
 	for i, sh := range s.e.shards {
-		last[i] = sh.progress.Load()
+		last[i] = sh.pub.seq.Load()
 	}
 	for {
 		select {
@@ -169,15 +169,15 @@ func (s *Session) watchdog(interval time.Duration) {
 			return
 		case <-t.C:
 			for i, sh := range s.e.shards {
-				p := sh.progress.Load()
+				p := sh.pub.seq.Load()
 				switch {
 				case p != last[i]:
 					if sh.health.CompareAndSwap(int32(ShardDegraded), int32(ShardRunning)) && sh.rec != nil {
-						sh.rec.Record(flight.KindWatchdog, time.Duration(sh.lastTS.Load()), 0, 0)
+						sh.rec.Record(flight.KindWatchdog, time.Duration(sh.pub.w[pubClock].Load()), 0, 0)
 					}
 				case sh.in.backlog() > 0:
 					if sh.health.CompareAndSwap(int32(ShardRunning), int32(ShardDegraded)) && sh.rec != nil {
-						sh.rec.Record(flight.KindWatchdog, time.Duration(sh.lastTS.Load()), 1, 0)
+						sh.rec.Record(flight.KindWatchdog, time.Duration(sh.pub.w[pubClock].Load()), 1, 0)
 					}
 				}
 				last[i] = p

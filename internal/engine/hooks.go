@@ -17,8 +17,11 @@ type TestHooks struct {
 	// (shard stall), or mutate the packet in place (clock jump). The packet
 	// pointer is the burst's own slot — mutations are seen by the pipeline.
 	BeforePacket func(shard int, p *pkt.Packet)
-	// SinkDigest runs on the sink goroutine for each digest before it is
-	// recorded (digest-sink stall).
+	// SinkDigest runs on the consumer side, for each digest as it is handed
+	// out: on Poll's caller, on the Digests pump, or on Close for what is
+	// still undelivered then — with no session lock held. Sleeping in it
+	// models a slow consumer: the digest rings fill and the workers spill
+	// into the backlog instead of waiting (digest-sink stall).
 	SinkDigest func(d *dataplane.Digest)
 	// PushRefuse runs on the feeder before each attempt to push a burst into
 	// shard's input ring; returning true makes the attempt behave as if the

@@ -4,9 +4,11 @@ package engine
 
 import (
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
+	"splidt/internal/dataplane"
 	"splidt/internal/pkt"
 )
 
@@ -83,10 +85,75 @@ func (r *spscRing) tryPop() (*burst, bool) {
 
 // push spins until b fits. Backpressure: a full ring means the worker is
 // behind, so the producer yields its timeslice rather than busy-burning.
+//
+//splidt:hotpath
 func (r *spscRing) push(b *burst) {
 	for !r.tryPush(b) {
+		//splidt:allow call — full free ring only: a feeder holds Queue+2 bursts per shard, so its home ring always has room
 		runtime.Gosched()
 	}
+}
+
+// digestRing is a bounded SPSC ring of digest values: a shard worker's way
+// out. The worker is the only producer (one copy in, one atomic store per
+// digest, no allocation); the consumer is whoever holds Session.mu — Poll,
+// the Digests pump, Close, or the worker itself when it spills a full ring.
+// Same head/tail discipline as spscRing.
+type digestRing struct {
+	buf  []dataplane.Digest
+	mask uint64
+
+	_    [64]byte
+	head atomic.Uint64 // next index to drain (consumer side, under Session.mu)
+	_    [64]byte
+	tail atomic.Uint64 // next index to push (worker-owned)
+	_    [64]byte
+}
+
+// newDigestRing builds a ring with capacity rounded up to a power of two
+// (≥ 2).
+func newDigestRing(capacity int) *digestRing {
+	n := 2
+	for n < capacity {
+		n <<= 1
+	}
+	return &digestRing{buf: make([]dataplane.Digest, n), mask: uint64(n - 1)}
+}
+
+// tryPush copies *d into the ring, reporting false when it is full.
+//
+//splidt:hotpath
+func (r *digestRing) tryPush(d *dataplane.Digest) bool {
+	tail := r.tail.Load()
+	if tail-r.head.Load() == uint64(len(r.buf)) {
+		return false
+	}
+	r.buf[tail&r.mask] = *d
+	r.tail.Store(tail + 1)
+	return true
+}
+
+// drain moves up to len(dst) of the oldest digests into dst and returns how
+// many it moved.
+//
+//splidt:hotpath
+func (r *digestRing) drain(dst []dataplane.Digest) int {
+	head := r.head.Load()
+	n := min(int(r.tail.Load()-head), len(dst))
+	if n == 0 {
+		return 0
+	}
+	c := copy(dst[:n], r.buf[head&r.mask:])
+	copy(dst[c:n], r.buf)
+	r.head.Store(head + uint64(n))
+	return n
+}
+
+// appendTo drains everything the ring holds onto the end of dst.
+func (r *digestRing) appendTo(dst []dataplane.Digest) []dataplane.Digest {
+	n, k := len(dst), int(r.tail.Load()-r.head.Load())
+	dst = slices.Grow(dst, k)
+	return dst[:n+r.drain(dst[n:n+k])]
 }
 
 // mpscSlot is one cell of an mpscRing: the burst plus the slot's sequence
@@ -200,12 +267,4 @@ func (r *mpscRing) backlog() int {
 		return 0
 	}
 	return int(t - p)
-}
-
-// push spins until b fits, yielding the timeslice while the consumer is
-// behind.
-func (r *mpscRing) push(b *burst) {
-	for !r.tryPush(b) {
-		runtime.Gosched()
-	}
 }

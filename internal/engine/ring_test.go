@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"splidt/internal/dataplane"
 	"splidt/internal/pkt"
 )
 
@@ -117,7 +118,9 @@ func TestRingMPSCStress(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProd; i++ {
-				r.push(&burst{pkts: []pkt.Packet{{Seq: p, FlowSize: i}}})
+				for b := (&burst{pkts: []pkt.Packet{{Seq: p, FlowSize: i}}}); !r.tryPush(b); {
+					runtime.Gosched()
+				}
 			}
 		}(p)
 	}
@@ -156,6 +159,91 @@ func TestRingSPSCStress(t *testing.T) {
 	}()
 	for i := 0; i < n; i++ {
 		r.push(&burst{pkts: []pkt.Packet{{Seq: i}}})
+	}
+	wg.Wait()
+}
+
+// TestDigestRingFIFO: full and empty are reported, order holds across the
+// wrap, and drain honours a destination shorter than what is queued.
+func TestDigestRingFIFO(t *testing.T) {
+	r := newDigestRing(3) // rounds up to 4
+	if len(r.buf) != 4 {
+		t.Fatalf("capacity %d, want 4", len(r.buf))
+	}
+	dst := make([]dataplane.Digest, 8)
+	if n := r.drain(dst); n != 0 {
+		t.Fatalf("drained %d from an empty ring", n)
+	}
+	next, seen := 0, 0
+	push := func(want bool) {
+		t.Helper()
+		d := dataplane.Digest{Packets: next}
+		if r.tryPush(&d) != want {
+			t.Fatalf("push %d: accepted=%v, want %v", next, !want, want)
+		}
+		if want {
+			next++
+		}
+	}
+	drain := func(dst []dataplane.Digest, want int) {
+		t.Helper()
+		n := r.drain(dst)
+		if n != want {
+			t.Fatalf("drained %d, want %d", n, want)
+		}
+		for _, d := range dst[:n] {
+			if d.Packets != seen {
+				t.Fatalf("out of order: got %d, want %d", d.Packets, seen)
+			}
+			seen++
+		}
+	}
+	for lap := 0; lap < 5; lap++ { // 3 in, 3 out per lap: the 4-slot ring wraps
+		push(true)
+		push(true)
+		push(true)
+		drain(dst[:2], 2)
+		drain(dst, 1)
+	}
+	for i := 0; i < 4; i++ {
+		push(true)
+	}
+	push(false)
+	if got := r.appendTo(dst[:1]); len(got) != 5 || got[4].Packets != next-1 {
+		t.Fatalf("appendTo kept %d digests ending at %d, want 5 ending at %d", len(got), got[len(got)-1].Packets, next-1)
+	}
+	push(true)
+}
+
+// TestDigestRingStress moves a long tagged sequence through a small ring
+// with one producer and one consumer draining in uneven batches.
+func TestDigestRingStress(t *testing.T) {
+	const n = 50_000
+	r := newDigestRing(8)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		dst := make([]dataplane.Digest, 5)
+		for next := 0; next < n; {
+			k := r.drain(dst[:1+next%5])
+			if k == 0 {
+				runtime.Gosched()
+			}
+			for _, d := range dst[:k] {
+				if d.Packets != next || d.Class != -next {
+					t.Errorf("got %+v, want sequence number %d", d, next)
+					return
+				}
+				next++
+			}
+		}
+	}()
+	for i := 0; i < n; i++ {
+		d := dataplane.Digest{Packets: i, Class: -i}
+		for !r.tryPush(&d) {
+			runtime.Gosched()
+		}
 	}
 	wg.Wait()
 }

@@ -39,8 +39,10 @@ const (
 	// shard's input ring starting at push ordinal At, forcing the feeder
 	// through its backpressure path as if the ring were full.
 	RingOverflow
-	// SinkStall blocks the digest sink for Stall at digest ordinal At,
-	// backing the merged digest stream up into the workers.
+	// SinkStall blocks the digest consumer (Poll's caller, the Digests
+	// pump, or Close) for Stall at digest ordinal At: a slow consumer. The
+	// shard workers must not wait for it — their digest rings fill and they
+	// spill into the session's backlog.
 	SinkStall
 	// ClockJump adds Jump to every packet timestamp on the shard from
 	// packet ordinal At onward — a step in the packet clock, the kind of
@@ -81,7 +83,7 @@ type Fault struct {
 	// At is the zero-based ordinal that triggers the fault, counted in the
 	// domain the kind observes: packets the shard's worker has seen
 	// (WorkerPanic, ShardStall, ClockJump), push attempts into the shard's
-	// ring (RingOverflow), or digests sunk (SinkStall).
+	// ring (RingOverflow), or digests handed to a consumer (SinkStall).
 	At uint64
 
 	Stall time.Duration // ShardStall, SinkStall: how long to block
@@ -108,9 +110,9 @@ func (f Fault) String() string {
 }
 
 // Plan is an armed fault schedule. Its three hook methods are safe for the
-// engine's concurrency (one worker per shard, one sink, many feeders) and
-// carry no locks — per-shard ordinals are atomics advanced by their single
-// observer, so injection points cost one atomic add when the plan is quiet.
+// engine's concurrency (one worker per shard, any digest consumer, many
+// feeders) and carry no locks — ordinals are atomic counters, so injection
+// points cost one atomic add when the plan is quiet.
 type Plan struct {
 	faults []Fault
 
@@ -232,8 +234,8 @@ func (p *Plan) BeforePacket(shard int, pk *pkt.Packet) {
 	}
 }
 
-// SinkDigest is the engine's digest-sink hook: it advances the digest
-// ordinal and fires any SinkStall due at it.
+// SinkDigest is the engine's consumer-side digest hook: it advances the
+// digest ordinal and fires any SinkStall due at it.
 func (p *Plan) SinkDigest(d *dataplane.Digest) {
 	n := p.digests.Add(1) - 1
 	for i := range p.faults {

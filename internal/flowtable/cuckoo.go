@@ -433,6 +433,8 @@ func (t *Cuckoo) ScanOccupied() int {
 }
 
 // Stats implements Store.
+//
+//splidt:hotpath
 func (t *Cuckoo) Stats() Stats {
 	s := t.stats
 	s.Occupied = t.occupied

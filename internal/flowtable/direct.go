@@ -125,6 +125,8 @@ func (d *Direct) ScanOccupied() int {
 }
 
 // Stats implements Store. Direct never kicks, stashes, or rejects.
+//
+//splidt:hotpath
 func (d *Direct) Stats() Stats {
 	s := d.stats
 	s.Occupied = d.occupied

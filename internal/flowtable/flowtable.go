@@ -196,6 +196,9 @@ type Store interface {
 	// maintenance (redeploy SID fixup), one call per reconfiguration, never
 	// per packet.
 	Walk(fn func(*Entry))
-	// Stats returns a copy of the store's counters.
+	// Stats returns a copy of the store's counters (O(1): the pipeline reads
+	// it once per burst).
+	//
+	//splidt:hotpath
 	Stats() Stats
 }

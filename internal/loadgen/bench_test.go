@@ -160,7 +160,7 @@ func TestMillionFlowValidation(t *testing.T) {
 	}
 	t.Logf("%v", rep.Total)
 	t.Logf("wall %v, %0.f pkts/s overall", time.Since(start), rep.Total.PktsPerSec)
-	// Benchstat-format lines for BENCH_engine.json (make bench-1m): one per
+	// Benchstat-format lines (make bench-1m prints them): one per
 	// phase plus the run total, on stdout so `grep ^Benchmark` collects them.
 	for _, pr := range append(rep.Phases, rep.Total) {
 		fmt.Printf("BenchmarkLoadgenMillionFlow/%s \t%d\t%d ns/op\t%.0f pkts/s\t%d active-flows\t%d p50-ns\t%d p99-ns\t%d p999-ns\t%.3f occupancy\n",

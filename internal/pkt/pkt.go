@@ -98,6 +98,8 @@ func (p Packet) String() string {
 // ShardHash when present, falling back to flow.Key.Shard otherwise. Both
 // paths agree: Shard(n) == Key.Shard(n) for every packet. n must be
 // positive.
+//
+//splidt:hotpath
 func (p Packet) Shard(n int) int {
 	if n <= 0 {
 		panic("pkt: non-positive shard count")

@@ -28,7 +28,8 @@ type Sample struct {
 	Backlog int `json:"backlog"`
 	// Lag is fed-but-unaccounted packets: Fed minus processed, dropped,
 	// quarantine-drained, and discarded — the in-flight/queued depth a
-	// stalling worker lets grow.
+	// stalling worker lets grow. Clamped at 0: Snapshot.Fed moves once per
+	// Feed call, so mid-call the workers can be ahead of it.
 	Lag int64 `json:"lag_packets"`
 }
 
@@ -91,7 +92,7 @@ func (m *sampler) observe(sess *engine.Session, snap engine.Snapshot, h engine.H
 		At:          now,
 		ActiveFlows: snap.ActiveFlows,
 		Backlog:     backlog,
-		Lag:         snap.Fed - int64(snap.Stats.Packets) - snap.Dropped - snap.QuarantineDropped - snap.DiscardedStaged,
+		Lag:         max(0, snap.Fed-int64(snap.Stats.Packets)-snap.Dropped-snap.QuarantineDropped-snap.DiscardedStaged),
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -395,3 +395,19 @@ func TestPprofMounted(t *testing.T) {
 		t.Fatalf("pprof cmdline = %d, %d bytes", code, len(body))
 	}
 }
+
+// TestSamplerLagNeverNegative pins the clamp: Snapshot.Fed advances once per
+// Feed call, so a sample taken mid-call can show the workers ahead of it.
+func TestSamplerLagNeverNegative(t *testing.T) {
+	m := newSampler(time.Second, 4)
+	ahead := engine.Snapshot{Fed: 64}
+	ahead.Stats.Packets = 96 // a worker 32 packets into a Feed still in flight
+	m.observe(nil, ahead, engine.Health{}, time.Now())
+	behind := engine.Snapshot{Fed: 96, Dropped: 1}
+	behind.Stats.Packets = 64
+	m.observe(nil, behind, engine.Health{}, time.Now())
+	got := m.series()
+	if len(got) != 2 || got[0].Lag != 0 || got[1].Lag != 31 {
+		t.Fatalf("lag samples %+v, want 0 then 31", got)
+	}
+}

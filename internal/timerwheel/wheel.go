@@ -199,6 +199,13 @@ func (w *Wheel) Stats() Stats {
 	return Stats{Expiries: w.expiries, Cascades: append([]int(nil), w.cascades...)}
 }
 
+// CascadesInto copies the per-level cascade counters into dst (as many as
+// fit) and returns how many it wrote — Stats' Cascades without the slice it
+// allocates, for per-burst readers.
+//
+//splidt:hotpath
+func (w *Wheel) CascadesInto(dst []int) int { return copy(dst, w.cascades) }
+
 // slot returns the sentinel of (level, index).
 //
 //splidt:hotpath
